@@ -23,7 +23,6 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/pareto"
 	"autotune/internal/perfmodel"
-	"autotune/internal/sched"
 	"autotune/internal/skeleton"
 )
 
@@ -395,33 +394,6 @@ func BenchmarkAblationUnrollDimension(b *testing.B) {
 				bestTime += res.Unit.Versions[0].Meta.Objectives[0]
 			}
 			b.ReportMetric(bestTime/float64(b.N)*1e3, "bestTimeMs")
-		})
-	}
-}
-
-// BenchmarkAblationScheduling compares loop-scheduling policies on a
-// skewed per-iteration cost distribution (boundary tiles cost more) —
-// the paper's future-work scheduler interaction, quantified.
-func BenchmarkAblationScheduling(b *testing.B) {
-	costs := make([]float64, 640)
-	for i := range costs {
-		costs[i] = 1
-		if i%40 == 0 {
-			costs[i] = 8 // boundary tiles
-		}
-	}
-	for _, p := range []sched.Policy{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided} {
-		p := p
-		b.Run(p.String(), func(b *testing.B) {
-			var imb float64
-			for i := 0; i < b.N; i++ {
-				r, err := sched.Simulate(costs, 16, p, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				imb = r.Imbalance()
-			}
-			b.ReportMetric(imb, "imbalance")
 		})
 	}
 }

@@ -138,22 +138,40 @@ func WarmStartComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*War
 	return res, nil
 }
 
+// EvalReductionPct is the share of new evaluations, in percent, that
+// the warm run Runs[i] saves against the cold run on the same machine.
+// It is 0 for cold runs and for a machine without a cold run.
+func (r *WarmStartResult) EvalReductionPct(i int) float64 {
+	run := r.Runs[i]
+	if !run.WarmStart {
+		return 0
+	}
+	for _, cold := range r.Runs {
+		if !cold.WarmStart && cold.Machine == run.Machine && cold.Evaluations > 0 {
+			return 100 * (1 - float64(run.Evaluations)/float64(cold.Evaluations))
+		}
+	}
+	return 0
+}
+
 // Render writes the comparison table.
 func (r *WarmStartResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Warm-start comparison: %s, %d stored evaluations after the cold run (V(S) normalized per machine)\n",
 		r.Kernel.Name, r.StoredEvals)
-	header := []string{"Run", "Machine", "Warm", "E (new)", "|S|", "V(S)"}
+	header := []string{"Run", "Machine", "Warm", "E (new)", "E reduction", "|S|", "V(S)"}
 	var rows [][]string
-	for _, run := range r.Runs {
-		warm := "no"
+	for i, run := range r.Runs {
+		warm, reduction := "no", "-"
 		if run.WarmStart {
 			warm = "yes"
+			reduction = fmt.Sprintf("%.0f%%", r.EvalReductionPct(i))
 		}
 		rows = append(rows, []string{
 			run.Label,
 			run.Machine,
 			warm,
 			fmt.Sprint(run.Evaluations),
+			reduction,
 			fmt.Sprint(run.FrontSize),
 			fmt.Sprintf("%.2f", run.HV),
 		})

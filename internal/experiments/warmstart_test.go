@@ -55,7 +55,10 @@ func TestWarmStartComparison(t *testing.T) {
 	}
 }
 
-func TestBenchReportWarmStartRows(t *testing.T) {
+// TestWarmStartEvalReduction checks the "E reduction" figure: warm
+// runs are measured against the cold run on their own machine, and
+// cold runs carry none.
+func TestWarmStartEvalReduction(t *testing.T) {
 	k, _ := kernels.ByName("mm")
 	res := &WarmStartResult{
 		Kernel:  k,
@@ -66,41 +69,15 @@ func TestBenchReportWarmStartRows(t *testing.T) {
 			{Label: "warm rerun", Machine: "Westmere", WarmStart: true, Evaluations: 50, FrontSize: 12, HV: 0.95},
 		},
 	}
-	r := NewBenchReport("warm", "Westmere", "quick")
-	r.AddWarmStartRuns("mm", res)
-	if len(r.Runs) != 2 {
-		t.Fatalf("rows = %d", len(r.Runs))
+	if got := res.EvalReductionPct(0); got != 0 {
+		t.Fatalf("cold row carries a reduction: %v%%", got)
 	}
-	if r.Runs[0].EvalReductionPct != 0 {
-		t.Fatalf("cold row carries a reduction: %v", r.Runs[0])
-	}
-	if got := r.Runs[1].EvalReductionPct; got != 75 {
+	if got := res.EvalReductionPct(1); got != 75 {
 		t.Fatalf("warm reduction = %v%%, want 75%%", got)
 	}
-	if r.GoMaxProcs <= 0 {
-		t.Fatal("GOMAXPROCS not captured")
-	}
-}
-
-func TestSplitListAndModeByName(t *testing.T) {
-	cases := map[string][]string{
-		"mm,jacobi-2d": {"mm", "jacobi-2d"},
-		"mm":           {"mm"},
-		"":             nil,
-		",mm,,lu,":     {"mm", "lu"},
-	}
-	for in, want := range cases {
-		got := SplitList(in)
-		if len(got) != len(want) {
-			t.Fatalf("SplitList(%q) = %v, want %v", in, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("SplitList(%q) = %v, want %v", in, got, want)
-			}
-		}
-	}
-	if ModeByName("quick") != Quick || ModeByName("full") != Full || ModeByName("") != Full {
-		t.Fatal("ModeByName mapping wrong")
+	var buf bytes.Buffer
+	res.Render(&buf)
+	if !strings.Contains(buf.String(), "E reduction") || !strings.Contains(buf.String(), "75%") {
+		t.Fatalf("rendering missing the E reduction column:\n%s", buf.String())
 	}
 }

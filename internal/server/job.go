@@ -244,8 +244,14 @@ func (r *JobRequest) driverOptions() (driver.Options, error) {
 // DedupKey canonically identifies the search this request asks for:
 // the tuning-database problem key (program fingerprint, machine
 // signature, objectives, space hash) extended with a hash of every
-// search-shaping option. Two requests with equal DedupKeys run the
+// other request field. Two requests with equal DedupKeys run the
 // same deterministic search and may share one execution.
+//
+// The option hash covers the canonical JSON form of the request, so a
+// field added later shapes the key without being listed here. Only
+// the fields that cannot change the search are cleared: the tenant,
+// the dedup bypass, and the target fields the problem key already
+// covers.
 func (r *JobRequest) DedupKey() (string, error) {
 	var problem string
 	if r.Kernel != "" {
@@ -266,11 +272,19 @@ func (r *JobRequest) DedupKey() (string, error) {
 		h.Write([]byte(r.Source))
 		problem = fmt.Sprintf("src%016x|%s", h.Sum64(), r.machineName())
 	}
+	opts := *r
+	opts.Tenant, opts.Force = "", false
+	opts.Kernel, opts.Source, opts.Machine, opts.N = "", "", "", 0
+	opts.Method = r.methodName()
+	if d := r.deadline(); d > 0 {
+		opts.Deadline = d.String()
+	}
+	data, err := json.Marshal(&opts)
+	if err != nil {
+		return "", reqErrf("encoding job options: %v", err)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%d|%d|%d|%v|%v|%d|%g|%v",
-		r.methodName(), r.Seed, r.PopSize, r.MaxIterations, r.Stagnation,
-		r.Islands, r.Migrate, r.RandomBudget, r.Energy, r.Surrogate,
-		r.ScreenTopK, r.Noise, r.WarmStart)
+	h.Write(data)
 	return fmt.Sprintf("%s|op%016x", problem, h.Sum64()), nil
 }
 

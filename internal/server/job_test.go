@@ -96,6 +96,43 @@ func TestDedupKeySeparatesSearches(t *testing.T) {
 	}
 }
 
+// TestDedupKeyCanonicalOptions: the option hash depends on the values
+// a request carries, not on how they were decoded. Two warm_start:false
+// requests share a key distinct from both the server default (nil) and
+// true, and a deadline, which can cut a search short, separates keys.
+func TestDedupKeyCanonicalOptions(t *testing.T) {
+	key := func(body string) string {
+		t.Helper()
+		req, err := DecodeJobRequest(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := req.DedupKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	cold1 := key(`{"kernel":"mm","seed":1,"warm_start":false}`)
+	cold2 := key(`{"kernel":"mm","seed":1,"warm_start":false,"tenant":"other"}`)
+	if cold1 != cold2 {
+		t.Fatalf("identical warm_start:false requests differ: %s vs %s", cold1, cold2)
+	}
+	plain := key(`{"kernel":"mm","seed":1}`)
+	if plain == cold1 {
+		t.Fatal("warm_start:false shares the server-default key")
+	}
+	if warm := key(`{"kernel":"mm","seed":1,"warm_start":true}`); warm == cold1 {
+		t.Fatal("warm_start:false shares the warm_start:true key")
+	}
+	if dl := key(`{"kernel":"mm","seed":1,"deadline":"30s"}`); dl == plain {
+		t.Fatal("a deadlined request shares the key of the same request without one")
+	}
+	if key(`{"kernel":"mm","seed":1,"deadline":"30s"}`) != key(`{"kernel":"mm","seed":1,"deadline":"30000ms"}`) {
+		t.Fatal("equal deadlines spelled differently do not share a key")
+	}
+}
+
 func TestCheckpointable(t *testing.T) {
 	for method, want := range map[string]bool{
 		"": true, "rs-gde3": true, "gde3": true, "nsga2": true, "motpe": true,

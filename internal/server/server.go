@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"autotune/internal/export"
@@ -270,13 +271,51 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // once the orchestrator has drained.
 const shutdownGrace = 5 * time.Second
 
+// freshConns tracks the connections that have not yet carried a
+// request. http.Server.Shutdown counts such a connection as active for
+// its first 5 s, as long as shutdownGrace, so a client that dials and
+// sends nothing would make a clean drain time out. They hold no
+// request, so shutdown closes them at once.
+type freshConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	stopping bool
+}
+
+// track is the http.Server ConnState hook.
+func (f *freshConns) track(c net.Conn, st http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case st == http.StateNew && f.stopping:
+		c.Close()
+	case st == http.StateNew:
+		f.conns[c] = struct{}{}
+	default:
+		delete(f.conns, c)
+	}
+}
+
+// closeAll closes every connection still waiting for its first request
+// and any accepted from now on; it runs once shutdown has begun.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.stopping = true
+	for c := range f.conns {
+		c.Close()
+	}
+}
+
 // Serve runs the service on l until ctx is done (SIGTERM in cmd/tuned)
 // or a drain is requested over the API, then shuts down gracefully:
 // running searches checkpoint at their next generation boundary,
 // queued jobs stay persisted for the next start, and in-flight HTTP
 // requests get a short grace period.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
+	fresh := &freshConns{conns: map[net.Conn]struct{}{}}
+	hs := &http.Server{Handler: s.Handler(), ConnState: fresh.track}
+	hs.RegisterOnShutdown(fresh.closeAll)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 

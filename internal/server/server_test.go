@@ -297,3 +297,45 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatal("Serve never returned after drain")
 	}
 }
+
+// TestServeShutdownWithIdleClient: a client that dialed the service
+// and never sent a request must not hold up a clean drain. Serve
+// returns nil well inside shutdownGrace.
+func TestServeShutdownWithIdleClient(t *testing.T) {
+	o, err := NewOrchestrator(Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- New(o).Serve(ctx, l) }()
+	idle, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// A request on a second connection proves the server accepts, so
+	// the idle connection is past Accept before the drain starts.
+	c := &Client{BaseURL: "http://" + l.Addr().String()}
+	if _, err := c.List(ctx); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	stop()
+	select {
+	case err := <-serveErr:
+		if err != nil {
+			t.Fatalf("serve after a clean drain: %v", err)
+		}
+		if d := time.Since(start); d > shutdownGrace/2 {
+			t.Fatalf("shutdown took %v with an idle client", d)
+		}
+	case <-time.After(2 * shutdownGrace):
+		t.Fatal("Serve never returned after drain")
+	}
+}

@@ -43,7 +43,7 @@ func (h mergeHeap) Less(a, b int) bool {
 	}
 	return h[a].prio > h[b].prio
 }
-func (h mergeHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h mergeHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
 func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(heapEntry)) }
 func (h *mergeHeap) Pop() interface{} {
 	old := *h

@@ -28,8 +28,8 @@ func mustOpen(t *testing.T, dir string, opt Options) *Store {
 	return st
 }
 
-func key(i int) string          { return fmt.Sprintf("key-%06d", i) }
-func val(i, gen int) []byte     { return []byte(fmt.Sprintf("value-%d-gen-%d", i, gen)) }
+func key(i int) string      { return fmt.Sprintf("key-%06d", i) }
+func val(i, gen int) []byte { return []byte(fmt.Sprintf("value-%d-gen-%d", i, gen)) }
 func putN(t *testing.T, st *Store, n, gen int) {
 	t.Helper()
 	for i := 0; i < n; i++ {

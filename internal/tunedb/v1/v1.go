@@ -1,8 +1,8 @@
 // Package v1 is the frozen first-generation tunedb engine: one
-// append-only JSONL journal replayed into memory at open. It exists
-// for two jobs — writing authentic v1 databases in migration tests,
-// and serving as the baseline in cmd/benchpr9's old-vs-new comparison.
-// The live engine (internal/tunedb on internal/store) migrates these
+// append-only JSONL journal replayed into memory at open. It is the
+// reference engine of the migration tests, which write authentic v1
+// databases with it and compare the migrated store against it. The
+// live engine (internal/tunedb on internal/store) migrates these
 // databases on open; nothing else should write this format.
 package v1
 
